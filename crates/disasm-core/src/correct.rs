@@ -617,44 +617,9 @@ impl<'a> Engine<'a> {
             let sw = Stopwatch::start();
             self.cur_phase = "stats.classify";
             let before = self.decisions[Priority::Statistical as usize];
-            // Parallel precompute of pure-chain scores. Only worth doing on
-            // an unlimited deadline: a budgeted run degrades mid-pass and the
-            // precompute would burn wall time the sequential pass charges to
-            // its own step counter.
-            let pre = if cfg.threads > 1 && self.deadline.is_unlimited() {
-                let un: Vec<bool> = self.cells.iter().map(|c| c.kind == CellKind::Un).collect();
-                crate::stats::parallel_chain_scores(
-                    self.ss,
-                    self.viab,
-                    &un,
-                    text,
-                    &model,
-                    cfg.enable_defuse,
-                    cfg.threads,
-                )
-            } else {
-                None
-            };
-            let (pre_table, cls_shards, cls_merge) = match pre {
-                Some((t, s, m)) => (Some(t), s, m),
-                None => (None, 1, 0),
-            };
-            self.statistical_pass(
-                &model,
-                text,
-                cfg.llr_threshold,
-                cfg.enable_defuse,
-                pre_table.as_deref(),
-            );
+            self.statistical_pass(&model, text, cfg.llr_threshold, cfg.enable_defuse);
             let items = (self.decisions[Priority::Statistical as usize] - before) as u64;
-            trace.record_sharded(
-                "stats.classify",
-                sw.elapsed_ns(),
-                nb,
-                items,
-                cls_shards,
-                cls_merge,
-            );
+            trace.record("stats.classify", sw.elapsed_ns(), nb, items);
             spans.counter(sp, "decisions", items);
             spans.end(sp);
             obs::log::emit(
@@ -881,21 +846,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Statistical classification of every remaining undecided region.
-    ///
-    /// `pre` is an optional table of chain scores precomputed in parallel
-    /// (see [`crate::stats::parallel_chain_scores`]). An entry is reused
-    /// only while its pure chain fits inside the current undecided gap —
-    /// exactly the condition under which [`Self::undecided_chain`] would
-    /// reproduce it — so the pass output is bit-identical with or without
-    /// the table.
-    fn statistical_pass(
-        &mut self,
-        model: &StatModel,
-        text: &[u8],
-        threshold: f64,
-        defuse: bool,
-        pre: Option<&[Option<crate::stats::ChainScore>]>,
-    ) {
+    fn statistical_pass(&mut self, model: &StatModel, text: &[u8], threshold: f64, defuse: bool) {
         let n = self.cells.len();
         let mut o = 0u32;
         while (o as usize) < n {
@@ -932,29 +883,19 @@ impl<'a> Engine<'a> {
                 o += 1;
                 continue;
             }
-            // maximal undecided fall-through chain from o — reuse the
-            // parallel precompute when its pure chain provably matches
-            let pre_hit = pre
-                .and_then(|p| p[o as usize])
-                .filter(|cs| cs.end <= gap_end);
-            let (chain_len, score, chain_end) = match pre_hit {
-                Some(cs) => (cs.len as usize, cs.score, cs.end),
-                None => {
-                    let chain = self.undecided_chain(o, 256);
-                    let classes: Vec<OpClass> =
-                        chain.iter().map(|&c| self.ss.at(c).opclass).collect();
-                    let mut score = model.score_chain(&classes);
-                    if defuse {
-                        let (links, pairs) = crate::behavior::count_links(text, &chain);
-                        score += model.defuse_chain_score(links, pairs);
-                    }
-                    let chain_end = chain
-                        .last()
-                        .map(|&c| c + self.ss.at(c).len as u32)
-                        .unwrap_or(o + 1);
-                    (chain.len(), score, chain_end)
-                }
-            };
+            // maximal undecided fall-through chain from o
+            let chain = self.undecided_chain(o, 256);
+            let classes: Vec<OpClass> = chain.iter().map(|&c| self.ss.at(c).opclass).collect();
+            let mut score = model.score_chain(&classes);
+            if defuse {
+                let (links, pairs) = crate::behavior::count_links(text, &chain);
+                score += model.defuse_chain_score(links, pairs);
+            }
+            let chain_len = chain.len();
+            let chain_end = chain
+                .last()
+                .map(|&c| c + self.ss.at(c).len as u32)
+                .unwrap_or(o + 1);
             // Long viable chains are themselves strong evidence: random
             // data almost never survives 16+ consecutive decodes without
             // hitting an invalid encoding, so the score bar drops for them.

@@ -217,7 +217,7 @@ pub struct Config {
     /// site, keeping the bench overhead budget intact.
     pub collect_provenance: bool,
     /// Worker threads for the parallel phases (sharded superset decode,
-    /// parallel viability fixpoint, parallel statistical scoring). `1`
+    /// parallel viability fixpoint). `1`
     /// reproduces the sequential path bit-for-bit; any other value
     /// produces *identical output* — only wall time changes. Defaults to
     /// [`par::default_threads`] (the `METADIS_THREADS` environment

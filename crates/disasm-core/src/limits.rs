@@ -193,13 +193,6 @@ impl Deadline {
     pub fn elapsed_ns(&self) -> u64 {
         self.sw.elapsed_ns()
     }
-
-    /// `true` when the deadline can never expire (no budget was set).
-    /// Parallel phases use this to pick the shard layout: an unlimited
-    /// deadline needs no cooperative polling.
-    pub fn is_unlimited(&self) -> bool {
-        self.budget_ns == u64::MAX
-    }
 }
 
 #[cfg(test)]
@@ -246,7 +239,7 @@ mod tests {
         assert!(d.exceeded());
         assert_eq!(d.remaining_ns(), 0);
         let d = Deadline::with_budget_ns(u64::MAX);
-        assert!(d.is_unlimited());
+        assert_eq!(d.remaining_ns(), u64::MAX);
         let d = Deadline::with_budget_ns(60_000_000_000);
         assert!(!d.exceeded());
         assert!(d.remaining_ns() > 0);

@@ -266,10 +266,12 @@ pub fn summarize(events: &[Event]) -> TimelineSummary {
 }
 
 fn lane_name(tid: u32) -> String {
-    if tid == 0 {
-        "main".to_string()
-    } else {
-        format!("worker-{tid}")
+    match tid {
+        0 => "main".to_string(),
+        t if t >= crate::timeline::LAZY_LANE_BASE => {
+            format!("thread-{}", t - crate::timeline::LAZY_LANE_BASE)
+        }
+        t => format!("worker-{t}"),
     }
 }
 

@@ -63,8 +63,9 @@ pub enum EventKind {
 pub struct Event {
     /// Monotonic nanoseconds since the process-wide timeline origin.
     pub ts_ns: u64,
-    /// Recording lane: `0` for the first lazily-registered thread (in
-    /// practice the main thread), worker lanes pinned via [`set_lane`].
+    /// Recording lane: `0` for the coordinating thread and `w + 1` for
+    /// worker `w`, both pinned via [`set_lane`]; threads that never pin
+    /// record on lanes from [`LAZY_LANE_BASE`] up.
     pub tid: u32,
     /// Begin / End / Instant.
     pub kind: EventKind,
@@ -83,7 +84,13 @@ pub struct Event {
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static ORIGIN: OnceLock<Instant> = OnceLock::new();
-static NEXT_LAZY_TID: AtomicU32 = AtomicU32::new(0);
+/// First lane handed to threads that record without pinning a lane. It
+/// sits far above every pinned lane, so an unpinned coordinating thread
+/// (a test thread, the serve dispatcher) never shares a lane with a
+/// worker.
+pub const LAZY_LANE_BASE: u32 = 1 << 16;
+
+static NEXT_LAZY_TID: AtomicU32 = AtomicU32::new(LAZY_LANE_BASE);
 static DROPPED: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
@@ -115,10 +122,10 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// This thread's recording lane. Lazily registered threads take the next
-/// free ordinal (the main thread, recording first, gets lane 0); worker
-/// threads are pinned to stable lanes by [`set_lane`] so a worker index
-/// maps to the same lane across every parallel phase.
+/// This thread's recording lane. Worker threads are pinned to stable
+/// lanes by [`set_lane`] so a worker index maps to the same lane across
+/// every parallel phase; a thread that records without pinning takes the
+/// next free lane from [`LAZY_LANE_BASE`] up.
 pub fn lane() -> u32 {
     TID.with(|t| {
         if t.get() == NO_SHARD {
@@ -269,9 +276,20 @@ pub struct TimelineSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serialises the tests that flip the process-wide recorder gate, so
+    /// one test's `set_enabled(true)` cannot land inside another's
+    /// disabled window.
+    static GATE: Mutex<()> = Mutex::new(());
+
+    fn gate() -> MutexGuard<'static, ()> {
+        GATE.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn record_take_and_gate() {
+        let _gate = gate();
         // Single test covers the enabled and disabled paths so parallel
         // test threads cannot race on the global gate mid-assertion.
         set_enabled(false);
@@ -301,6 +319,7 @@ mod tests {
 
     #[test]
     fn absorb_appends_and_mark_windows() {
+        let _gate = gate();
         set_enabled(true);
         let m = mark();
         begin("tl.test.outer");
@@ -326,6 +345,7 @@ mod tests {
 
     #[test]
     fn events_carry_the_request_context() {
+        let _gate = gate();
         set_enabled(true);
         let m = mark();
         let id = crate::ctx::RequestId::mint();
@@ -341,7 +361,26 @@ mod tests {
     }
 
     #[test]
+    fn lazy_lanes_never_collide_with_worker_lanes() {
+        // two unpinned threads register lazily, whatever order they run in
+        let lazy: Vec<u32> = (0..2)
+            .map(|_| std::thread::spawn(lane).join().unwrap())
+            .collect();
+        let worker = std::thread::spawn(|| {
+            set_lane(1);
+            lane()
+        })
+        .join()
+        .unwrap();
+        assert_eq!(worker, 1);
+        assert!(!lazy.contains(&worker), "{lazy:?}");
+        assert_ne!(lazy[0], lazy[1]);
+        assert!(lazy.iter().all(|&l| l >= LAZY_LANE_BASE), "{lazy:?}");
+    }
+
+    #[test]
     fn worker_lanes_are_pinnable() {
+        let _gate = gate();
         set_enabled(true);
         let evs = std::thread::spawn(|| {
             set_lane(5);

@@ -2245,6 +2245,8 @@ mod tests {
 
     #[test]
     fn request_ids_echo_and_resolve_to_bundles() {
+        // sets the global log level, which concurrent CLI tests reset
+        let _cli = crate::cli::tests::cli_lock();
         // the log slice in a bundle comes from the global log ring, which
         // only captures when a level is set (the serve CLI does this; a
         // bare Server::start does not)
