@@ -36,7 +36,11 @@ fn run_profile(elf: &str, threads: usize, trace_out: &str) -> String {
     .iter()
     .map(|s| s.to_string())
     .collect();
-    metadis::cli::run(&args).unwrap()
+    let lane = obs::timeline::lane();
+    let out = metadis::cli::run(&args).unwrap();
+    // the command records its calling thread as `main` only for the run
+    assert_eq!(obs::timeline::lane(), lane, "profile left its lane pinned");
+    out
 }
 
 /// Count of each `(ph, name, tid)` combination — the deterministic shape of
