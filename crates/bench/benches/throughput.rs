@@ -6,12 +6,15 @@
 //! (`BENCH_throughput.json`) — the same schema the CLI's `--trace-json`
 //! emits. Set `QUICK=1` for a reduced iteration count.
 //!
-//! Parallel-scaling arms rerun the full pipeline at 1, 2 and 4 worker
-//! threads on a ≥1 MiB corpus and print `parallel speedup(N) = X.XXx`
-//! lines, plus the threads=1 arm's end-to-end
-//! `pipeline bytes/sec(threads=1) = N` and
+//! The scaling arm runs the full pipeline on a ≥1 MiB corpus and prints
+//! its end-to-end `pipeline bytes/sec(threads=1) = N` and
 //! `jumptable share(threads=1) = X.X%` (jump-table detection wall over
-//! pipeline wall); `scripts/bench-check.sh` gates all three.
+//! pipeline wall). The file-level arm runs a fixed batch of small binaries
+//! through `par::run_jobs` at 1 and 2 workers and prints
+//! `batch speedup(2) = X.XXx`. The superset-build figure is the best of
+//! arms spread over the whole run (before the tool arms, between the
+//! scaling arms, after the telemetry arms), so one slow host phase cannot
+//! decide it. `scripts/bench-check.sh` gates all four.
 //!
 //! Three extra arms run the full pipeline with runtime telemetry off, with
 //! telemetry (allocation accounting + Info-level ring logging) on, and with
@@ -36,12 +39,9 @@ fn workload() -> bingen::Workload {
     ))
 }
 
-/// Separate, much larger corpus for the parallel-scaling arms. The main
-/// workload (~14 KB in QUICK mode) sits *below* `par::MIN_SHARD_BYTES`
-/// amortization scale, so measuring thread speedup on it only measured
-/// shard overhead (the committed baseline once recorded speedup(4) = 0.70x
-/// on it — a pure-noise slowdown). Scaling is therefore measured on a
-/// ≥1 MiB text section where per-shard work dominates spawn/merge cost.
+/// Separate, much larger corpus for the end-to-end pipeline arm: the main
+/// workload (~14 KB in QUICK mode) is too small for per-phase shares to
+/// mean anything, so the pipeline gates read a ≥1 MiB text section.
 fn scaling_workload() -> bingen::Workload {
     let mut functions = 3_000;
     loop {
@@ -56,6 +56,27 @@ fn scaling_workload() -> bingen::Workload {
         }
         functions *= 2;
     }
+}
+
+/// Binaries in the file-level arm's batch.
+const BATCH_BINARIES: u64 = 48;
+
+/// The file-level arm's fixed batch, shaped like metadis-bench's
+/// small-batch workload: 8–40 functions each, O0–O3 cycled, 10% data.
+fn batch_images() -> Vec<Image> {
+    let mut rng = bingen::rng::Rng::seed_from_u64(93_000);
+    (0..BATCH_BINARIES)
+        .map(|i| {
+            let functions: usize = rng.gen_range(8..=40);
+            let profile = bingen::OptProfile::ALL[(i % 4) as usize];
+            image_of(&bingen::Workload::generate(&bingen::GenConfig::new(
+                93_000 + i,
+                profile,
+                functions,
+                0.10,
+            )))
+        })
+        .collect()
 }
 
 /// Run `f` `iters` times and return the best-of wall time in nanoseconds.
@@ -133,13 +154,10 @@ fn main() {
         "linear-decode".into(),
         stage_trace("decode", decode_ns, nb, 0),
     ));
-    let superset_ns = best_of(iters, || Superset::build(&w.text));
+    // superset arm 1 of 3; the figure is the best over all three
+    let mut superset_ns = best_of(iters, || Superset::build(&w.text));
     let ss = Superset::build(&w.text);
     let candidates = ss.valid().count() as u64;
-    tools.push((
-        "superset-build".into(),
-        stage_trace("superset", superset_ns, nb, candidates),
-    ));
     let viability_ns = best_of(iters, || Viability::compute(&ss));
     tools.push((
         "viability-fixpoint".into(),
@@ -172,30 +190,47 @@ fn main() {
         bench_tool(iters, &image, |img| self_train.disassemble(img)),
     ));
 
-    // parallel-scaling arms: the identical full pipeline at 1, 2 and 4
-    // worker threads (bit-identical output by contract; only wall time may
-    // change), run on the dedicated ≥1 MiB scaling corpus so speedup
-    // measures sharded work rather than shard overhead. Each arm's trace
-    // carries its thread count and per-phase shard/merge telemetry into the
-    // perf record.
+    // scaling arm: the full pipeline on the dedicated ≥1 MiB corpus. One
+    // binary always runs on one thread; its trace carries the per-phase
+    // split into the perf record.
     let scale_w = scaling_workload();
     let scale_image = image_of(&scale_w);
     let scale_iters = if bench::quick() { 1 } else { 3 };
-    let mut scale_ns = [0u64; 3];
-    let mut jumptable_share = 0.0;
-    for (i, threads) in [1usize, 2, 4].into_iter().enumerate() {
-        let tool = Disassembler::new(Config {
-            model: Some(model.clone()),
-            threads,
-            ..Config::default()
-        });
-        let tr = bench_tool(scale_iters, &scale_image, |img| tool.disassemble(img));
-        scale_ns[i] = tr.total_wall_ns;
-        if threads == 1 {
-            let jumptable_ns = tr.phase("jumptable").map_or(0, |p| p.wall_ns);
-            jumptable_share = jumptable_ns as f64 * 100.0 / tr.total_wall_ns.max(1) as f64;
+    let scale_tool = Disassembler::new(Config {
+        model: Some(model.clone()),
+        threads: 1,
+        ..Config::default()
+    });
+    let scale = bench_tool(scale_iters, &scale_image, |img| scale_tool.disassemble(img));
+    let scale_ns = scale.total_wall_ns;
+    let jumptable_ns = scale.phase("jumptable").map_or(0, |p| p.wall_ns);
+    let jumptable_share = jumptable_ns as f64 * 100.0 / scale_ns.max(1) as f64;
+    tools.push(("metadis (threads=1)".into(), scale));
+
+    // superset arm 2 of 3
+    superset_ns = superset_ns.min(best_of(iters, || Superset::build(&w.text)));
+
+    // file-level arm: the batch through the run_jobs pool serve uses, at 1
+    // and 2 workers, best of 5 walls per arm with the order alternating.
+    // Each job is a whole self-trained pipeline run, as in serve.
+    let batch = batch_images();
+    let batch_bytes: usize = batch.iter().map(|img| img.text.len()).sum();
+    let batch_tool = Disassembler::new(Config {
+        threads: 1,
+        ..Config::default()
+    });
+    let mut batch_ns = [u64::MAX; 2];
+    for rep in 0..5 {
+        for arm in [rep % 2, 1 - rep % 2] {
+            let sw = Stopwatch::start();
+            std::hint::black_box(disasm_core::par::run_jobs(
+                "bench.batch",
+                batch.len(),
+                arm + 1,
+                |j| batch_tool.disassemble(&batch[j]).inst_starts.len(),
+            ));
+            batch_ns[arm] = batch_ns[arm].min(sw.elapsed_ns());
         }
-        tools.push((format!("metadis (threads={threads})"), tr));
     }
 
     // telemetry-cost arms: the identical full-pipeline run with runtime
@@ -224,6 +259,16 @@ fn main() {
     let prof_ns = prof.total_wall_ns;
     tools.push(("profiler-on".into(), prof));
 
+    // superset arm 3 of 3; the record keeps the stage next to linear-decode
+    superset_ns = superset_ns.min(best_of(iters, || Superset::build(&w.text)));
+    tools.insert(
+        1,
+        (
+            "superset-build".into(),
+            stage_trace("superset", superset_ns, nb, candidates),
+        ),
+    );
+
     let mut t = TextTable::new(["stage/tool", "wall ms", "MiB/s"]);
     for (name, tr) in &tools {
         t.row([
@@ -233,29 +278,28 @@ fn main() {
         ]);
     }
     print!("{}", t.render());
-    println!("\n(best of {iters} runs over {nb} text bytes)");
+    println!(
+        "\n(best of {iters} runs over {nb} text bytes; superset-build best of {} over three arms)",
+        3 * iters
+    );
 
     // Parseable stage/scaling summaries (consumed by scripts/bench-check.sh)
     // plus counters in the perf record so the JSON carries them too.
     let superset_bps = nb as f64 * 1e9 / superset_ns.max(1) as f64;
     println!("superset-build bytes/sec = {superset_bps:.0}");
     obs::global().add("bench.superset_bytes_per_sec", superset_bps as u64);
-    let speedup2 = scale_ns[0] as f64 / scale_ns[1].max(1) as f64;
-    let speedup4 = scale_ns[0] as f64 / scale_ns[2].max(1) as f64;
-    println!("parallel scaling corpus: {} bytes", scale_w.text.len());
-    let pipeline_bps = scale_w.text.len() as f64 * 1e9 / scale_ns[0].max(1) as f64;
+    println!("scaling corpus: {} bytes", scale_w.text.len());
+    let pipeline_bps = scale_w.text.len() as f64 * 1e9 / scale_ns.max(1) as f64;
     println!("pipeline bytes/sec(threads=1) = {pipeline_bps:.0}");
     println!("jumptable share(threads=1) = {jumptable_share:.1}%");
-    println!("parallel speedup(2) = {speedup2:.2}x");
-    println!("parallel speedup(4) = {speedup4:.2}x");
-    obs::global().add(
-        "bench.parallel_speedup_x100_threads2",
-        (speedup2 * 100.0) as u64,
+    println!(
+        "batch corpus: {} binaries, {batch_bytes} bytes; best wall {:.1} ms at 1 worker, {:.1} ms at 2",
+        batch.len(),
+        batch_ns[0] as f64 / 1e6,
+        batch_ns[1] as f64 / 1e6
     );
-    obs::global().add(
-        "bench.parallel_speedup_x100_threads4",
-        (speedup4 * 100.0) as u64,
-    );
+    let batch_speedup = batch_ns[0] as f64 / batch_ns[1].max(1) as f64;
+    println!("batch speedup(2) = {batch_speedup:.2}x");
 
     let overhead = on_ns as f64 / off_ns as f64 - 1.0;
     println!(

@@ -108,8 +108,8 @@ pub(crate) fn run(cfg: &Config, image: &Image) -> Disassembly {
     let mut trace = PipelineTrace::new();
     trace.threads = cfg.threads.max(1) as u64;
     // Flight-recorder window for this run: spans mirror into the timeline
-    // via SpanSet, shard/merge events land during the sharded phases, and
-    // the closing analysis below reads back exactly this run's events.
+    // via SpanSet, and the closing analysis below reads back exactly this
+    // run's events.
     let tl_mark = obs::timeline::mark();
     let mut spans = SpanSet::new();
     let root = spans.begin("pipeline");
@@ -132,22 +132,10 @@ pub(crate) fn run(cfg: &Config, image: &Image) -> Disassembly {
 
     let sp = spans.begin("superset");
     let sw = Stopwatch::start();
-    let (ss, deg, ss_shards, ss_merge) = Superset::build_sharded(
-        text,
-        cfg.limits.max_superset_candidates,
-        &deadline,
-        cfg.threads,
-    );
+    let (ss, deg) = Superset::build_limited(text, cfg.limits.max_superset_candidates, &deadline);
     trace.degradations.extend(deg);
     let candidates = ss.valid().count() as u64;
-    trace.record_sharded(
-        "superset",
-        sw.elapsed_ns(),
-        nb,
-        candidates,
-        ss_shards,
-        ss_merge,
-    );
+    trace.record("superset", sw.elapsed_ns(), nb, candidates);
     spans.counter(sp, "bytes", nb);
     spans.counter(sp, "candidates", candidates);
     spans.end(sp);
@@ -176,27 +164,16 @@ pub(crate) fn run(cfg: &Config, image: &Image) -> Disassembly {
 
     let sp = spans.begin("viability");
     let sw = Stopwatch::start();
-    let (viab, vi_shards, vi_merge) = if cfg.enable_viability {
-        let (v, deg, shards, merge) = Viability::compute_sharded(
-            &ss,
-            cfg.limits.max_viability_iterations,
-            &deadline,
-            cfg.threads,
-        );
+    let viab = if cfg.enable_viability {
+        let (v, deg) =
+            Viability::compute_limited(&ss, cfg.limits.max_viability_iterations, &deadline);
         trace.degradations.extend(deg);
-        (v, shards, merge)
+        v
     } else {
-        (Viability::trivial(&ss), 1, 0)
+        Viability::trivial(&ss)
     };
     trace.viability_iterations = viab.iterations();
-    trace.record_sharded(
-        "viability",
-        sw.elapsed_ns(),
-        nb,
-        viab.eliminated() as u64,
-        vi_shards,
-        vi_merge,
-    );
+    trace.record("viability", sw.elapsed_ns(), nb, viab.eliminated() as u64);
     spans.counter(sp, "eliminated", viab.eliminated() as u64);
     spans.counter(sp, "iterations", viab.iterations());
     spans.end(sp);

@@ -216,12 +216,13 @@ pub struct Config {
     /// Off by default: disabled collection costs one branch per emission
     /// site, keeping the bench overhead budget intact.
     pub collect_provenance: bool,
-    /// Worker threads for the parallel phases (sharded superset decode,
-    /// parallel viability fixpoint). `1`
-    /// reproduces the sequential path bit-for-bit; any other value
-    /// produces *identical output* — only wall time changes. Defaults to
-    /// [`par::default_threads`] (the `METADIS_THREADS` environment
-    /// variable, else the machine's available parallelism).
+    /// Width of the file-level worker pools that run whole binaries in
+    /// parallel ([`par::run_jobs`]: the `serve` dispatcher and batch
+    /// intake, the evaluation harness). One binary's pipeline always runs
+    /// on one thread, so its output never depends on this value; the trace
+    /// records it as `threads`. Defaults to [`par::default_threads`] (the
+    /// `METADIS_THREADS` environment variable, else the machine's
+    /// available parallelism).
     pub threads: usize,
     /// Test hook: panic inside the pipeline to exercise the
     /// `catch_unwind` → linear-sweep fallback path. Not part of the public

@@ -1,23 +1,25 @@
-//! Zero-dependency deterministic parallel execution.
+//! Zero-dependency deterministic fork/join over independent jobs.
 //!
-//! Every parallel phase in the pipeline is built from the same three
-//! primitives, chosen so that `threads = 1` reproduces the sequential path
-//! bit-for-bit and `threads = N` produces *identical output* (only wall
-//! time changes):
+//! Parallelism in metadis is file-level: one pipeline run over one binary
+//! is sequential, and [`run_jobs`] spreads *whole binaries* over workers —
+//! the `serve` dispatcher, `Server::process_batch` and the evaluation
+//! harness's `evaluate_threads`. [`crate::Config::threads`] sizes those
+//! pools and nothing else. Independent binaries share nothing, so they
+//! scale where splitting one binary's phases into shards did not (see
+//! DESIGN.md, "Parallel execution").
 //!
-//! * [`shard_ranges`] — a deterministic split of `0..n` into contiguous,
-//!   near-equal ranges. The layout depends only on `(n, shards)`, never on
-//!   scheduling.
-//! * [`run_jobs`] — a scoped fork/join ([`std::thread::scope`]) with
-//!   *static* job assignment: worker `w` takes jobs `w, w+T, w+2T, …`.
-//!   Results are returned tagged with their job index and reassembled in
-//!   index order, so the caller observes the same sequence a sequential
-//!   loop would produce.
+//! [`run_jobs`] keeps `threads = N` output *identical* to `threads = 1`:
+//!
+//! * a scoped fork/join ([`std::thread::scope`]) with *static* job
+//!   assignment: worker `w` takes jobs `w, w+T, w+2T, …`. Results are
+//!   returned tagged with their job index and reassembled in index order,
+//!   so the caller observes the same sequence a sequential loop would
+//!   produce;
 //! * allocation absorption — worker threads have fresh thread-local
 //!   allocation counters ([`obs::alloc`]); on join the parent folds each
 //!   worker's final counters back into its own via [`obs::alloc::absorb`],
 //!   in worker-index order, so open span attribution windows still see the
-//!   bytes the phase allocated.
+//!   bytes the jobs allocated.
 //!
 //! Thread count resolution: [`default_threads`] honors the
 //! `METADIS_THREADS` environment variable, then falls back to
@@ -34,37 +36,6 @@ pub fn default_threads() -> usize {
         }
     }
     std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Minimum bytes of work per shard: below this, spawn overhead dominates
-/// and phases stay sequential (or use fewer shards).
-pub const MIN_SHARD_BYTES: usize = 4096;
-
-/// How many shards to use for `n` units of work on `threads` workers:
-/// at most one shard per thread, and no shard smaller than `min_shard`
-/// units. Always at least 1. Deterministic in its arguments.
-pub fn shard_count(n: usize, threads: usize, min_shard: usize) -> usize {
-    if threads <= 1 || n == 0 {
-        return 1;
-    }
-    threads.min(n.div_ceil(min_shard.max(1))).max(1)
-}
-
-/// Split `0..n` into `shards` contiguous `(start, end)` ranges of
-/// near-equal length (earlier shards take the remainder). The layout is a
-/// pure function of `(n, shards)`.
-pub fn shard_ranges(n: usize, shards: usize) -> Vec<(usize, usize)> {
-    let shards = shards.clamp(1, n.max(1));
-    let base = n / shards;
-    let rem = n % shards;
-    let mut out = Vec::with_capacity(shards);
-    let mut start = 0usize;
-    for i in 0..shards {
-        let len = base + usize::from(i < rem);
-        out.push((start, start + len));
-        start += len;
-    }
-    out
 }
 
 /// Run `jobs` independent jobs on at most `threads` scoped worker threads
@@ -161,34 +132,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn shard_ranges_tile_exactly() {
-        for n in [0usize, 1, 5, 4096, 4097, 1 << 20] {
-            for shards in [1usize, 2, 3, 4, 7, 16] {
-                let r = shard_ranges(n, shards);
-                assert!(!r.is_empty());
-                assert_eq!(r[0].0, 0);
-                assert_eq!(r.last().unwrap().1, n);
-                for w in r.windows(2) {
-                    assert_eq!(w[0].1, w[1].0, "ranges must be contiguous");
-                }
-                // near-equal: lengths differ by at most 1
-                let lens: Vec<usize> = r.iter().map(|(a, b)| b - a).collect();
-                let (min, max) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
-                assert!(max - min <= 1, "{lens:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn shard_count_respects_min_size() {
-        assert_eq!(shard_count(0, 8, MIN_SHARD_BYTES), 1);
-        assert_eq!(shard_count(100, 1, MIN_SHARD_BYTES), 1);
-        assert_eq!(shard_count(100, 8, MIN_SHARD_BYTES), 1);
-        assert_eq!(shard_count(2 * MIN_SHARD_BYTES, 8, MIN_SHARD_BYTES), 2);
-        assert_eq!(shard_count(1 << 20, 4, MIN_SHARD_BYTES), 4);
-    }
-
-    #[test]
     fn run_jobs_matches_sequential_in_any_thread_count() {
         let f = |j: usize| j * j + 1;
         let want: Vec<usize> = (0..37).map(f).collect();
@@ -201,6 +144,59 @@ mod tests {
         }
         assert_eq!(run_jobs("par.test", 0, 4, f), Vec::<usize>::new());
         assert_eq!(run_jobs("par.test", 1, 4, f), vec![1]);
+    }
+
+    #[test]
+    fn recorder_pins_worker_lanes_and_one_merge_wait() {
+        use obs::timeline::{self, EventKind, MERGE_WAIT_NAME};
+        use std::collections::BTreeMap;
+        // the ring is per-thread, so this test only sees its own events;
+        // nothing else in this crate's tests turns the recorder off
+        let was = timeline::enabled();
+        timeline::set_enabled(true);
+        let caller = timeline::lane();
+        let mark = timeline::mark();
+        let out = run_jobs("par.test.tl", 6, 2, |j| j + 1);
+        let events = timeline::take_since(mark);
+        timeline::set_enabled(was);
+        assert_eq!(out, vec![1, 2, 3, 4, 5, 6]);
+
+        // every job ran on worker lane w + 1 under static assignment
+        let mut job_lanes = BTreeMap::new();
+        for e in events.iter().filter(|e| e.name == "par.test.tl") {
+            if e.kind == EventKind::Begin {
+                job_lanes.insert(e.shard, e.tid);
+            }
+        }
+        let want: BTreeMap<u32, u32> = (0..6).map(|j| (j, j % 2 + 1)).collect();
+        assert_eq!(job_lanes, want, "{events:?}");
+
+        // begin/end balance per lane, never closing an unopened region
+        let mut depth: BTreeMap<u32, i64> = BTreeMap::new();
+        for e in &events {
+            let d = depth.entry(e.tid).or_insert(0);
+            match e.kind {
+                EventKind::Begin => *d += 1,
+                EventKind::End => *d -= 1,
+                EventKind::Instant => {}
+            }
+            assert!(*d >= 0, "E below depth 0 on lane {}", e.tid);
+        }
+        assert!(depth.values().all(|&d| d == 0), "{depth:?}");
+        assert_eq!(
+            depth.keys().copied().collect::<Vec<_>>(),
+            vec![1, 2, caller]
+        );
+
+        // the join barrier: exactly one merge-wait span, on the caller
+        let merges: Vec<_> = events
+            .iter()
+            .filter(|e| e.name == MERGE_WAIT_NAME)
+            .collect();
+        assert_eq!(merges.len(), 2, "{merges:?}");
+        assert!(merges.iter().all(|e| e.tid == caller));
+        assert_eq!(merges[0].kind, EventKind::Begin);
+        assert_eq!(merges[1].kind, EventKind::End);
     }
 
     #[test]

@@ -207,8 +207,8 @@ impl Superset {
         let mut targets = Vec::with_capacity(estimate_targets(text));
         let mut degradation = None;
         if let Some(cap) = max_candidates {
-            // the cap counts valid candidates in offset order — an
-            // inherently sequential scan, kept on the per-offset path
+            // the cap counts valid candidates in offset order and stops at
+            // an exact offset, which the chunked bulk scan cannot do
             let mut valid: u64 = 0;
             for off in 0..n {
                 if valid >= cap {
@@ -236,7 +236,7 @@ impl Superset {
                     }
                 }
             }
-        } else if let Some(stop) = scan_range(text, 0, n, &mut meta, &mut targets, deadline) {
+        } else if let Some(stop) = scan_range(text, &mut meta, &mut targets, deadline) {
             degradation = Some(Degradation {
                 phase: "superset",
                 limit: LimitKind::Deadline,
@@ -244,78 +244,6 @@ impl Superset {
             });
         }
         (Superset { meta, targets }, degradation)
-    }
-
-    /// Sharded superset decode: split the text into contiguous offset
-    /// ranges, decode each range on a worker thread, and merge the shard
-    /// tables in offset order.
-    ///
-    /// Every worker prescans `&text[off..]` against the *full remaining
-    /// slice* — exactly the bytes the sequential loop sees — so shard
-    /// boundaries cannot change any candidate and the merged table is
-    /// bit-identical to [`Superset::build_limited`]. Returns
-    /// `(table, degradation, shards, merge_wall_ns)`.
-    ///
-    /// Two cases stay on the sequential path (`shards == 1`): a
-    /// `max_candidates` cap (the cap counts *valid* candidates globally, an
-    /// inherently sequential scan), and work too small to shard profitably.
-    /// A wall-clock deadline is polled cooperatively inside each shard;
-    /// when any shard trips it, the earliest stop offset wins and every
-    /// candidate from there on is invalidated — the same "everything past
-    /// the cutoff is invalid" contract the sequential loop provides.
-    pub fn build_sharded(
-        text: &[u8],
-        max_candidates: Option<u64>,
-        deadline: &Deadline,
-        threads: usize,
-    ) -> (Superset, Option<Degradation>, u64, u64) {
-        let n = text.len();
-        let shards = crate::par::shard_count(n, threads, crate::par::MIN_SHARD_BYTES);
-        if max_candidates.is_some() || shards <= 1 {
-            let (ss, deg) = Superset::build_limited(text, max_candidates, deadline);
-            return (ss, deg, 1, 0);
-        }
-        let ranges = crate::par::shard_ranges(n, shards);
-        let parts = crate::par::run_jobs("superset.shard", ranges.len(), threads, |i| {
-            let (start, end) = ranges[i];
-            let mut meta_part = vec![INVALID_META; end - start];
-            let mut target_part = Vec::with_capacity(estimate_targets(&text[start..end]));
-            let stop = scan_range(text, start, end, &mut meta_part, &mut target_part, deadline);
-            (meta_part, target_part, stop)
-        });
-        let sw = obs::Stopwatch::start();
-        let mut meta = vec![INVALID_META; n];
-        let mut targets = Vec::with_capacity(parts.iter().map(|(_, t, _)| t.len()).sum());
-        let mut stop_min: Option<usize> = None;
-        for (i, (meta_part, target_part, stop)) in parts.into_iter().enumerate() {
-            let start = ranges[i].0;
-            meta[start..start + meta_part.len()].copy_from_slice(&meta_part);
-            // shard target offsets are absolute and shards ascend, so the
-            // concatenation stays globally sorted by offset
-            targets.extend_from_slice(&target_part);
-            if let Some(s) = stop {
-                stop_min = Some(stop_min.map_or(s, |m| m.min(s)));
-            }
-        }
-        let degradation = stop_min.map(|s| {
-            for m in &mut meta[s..] {
-                *m = INVALID_META;
-            }
-            let cut = targets.partition_point(|&(o, _)| (o as usize) < s);
-            targets.truncate(cut);
-            Degradation {
-                phase: "superset",
-                limit: LimitKind::Deadline,
-                completed: s as u64,
-            }
-        });
-        let merge_wall_ns = sw.elapsed_ns();
-        (
-            Superset { meta, targets },
-            degradation,
-            shards as u64,
-            merge_wall_ns,
-        )
     }
 
     /// Candidate at `off`.
@@ -469,13 +397,13 @@ fn scan_meta(off: usize, scan: &Scan, section_len: usize) -> (u16, u32) {
 /// runs cut at identical offsets.
 const POLL: usize = 4096;
 
-/// Decode offsets `[start, end)` of `text` — each against the full
-/// remaining slice, exactly like the sequential reference loop — writing
-/// meta words into `meta_out[off - start]` (pre-filled with
-/// [`INVALID_META`]) and appending in-section direct-branch `(off, target)`
-/// pairs to `targets` in ascending offset order.
+/// Decode every offset of `text` — each against the full remaining slice,
+/// exactly like the per-offset reference loop — writing meta words into
+/// `meta_out[off]` (pre-filled with [`INVALID_META`]) and appending
+/// in-section direct-branch `(off, target)` pairs to `targets` in ascending
+/// offset order.
 ///
-/// The range is processed in [`POLL`]-aligned chunks of three passes:
+/// The text is processed in [`POLL`]-aligned chunks of three passes:
 ///
 /// 1. a branch-free bulk pass over [`x86_isa::prescan_window`] that settles
 ///    every fast-shape offset *completely* — meta word, escape bit, pending
@@ -491,14 +419,12 @@ const POLL: usize = 4096;
 ///    slots out — offset order is preserved (the targets vec is
 ///    binary-searched, so order is part of the contract).
 ///
-/// The deadline is polled at absolute offsets ≡ 0 (mod [`POLL`]); on expiry
-/// the first unprocessed offset is returned and everything from there on is
+/// The deadline is polled at offsets ≡ 0 (mod [`POLL`]); on expiry the
+/// first unprocessed offset is returned and everything from there on is
 /// left invalid, matching the legacy loop's degradation contract bit for
 /// bit.
 fn scan_range(
     text: &[u8],
-    start: usize,
-    end: usize,
     meta_out: &mut [u16],
     targets: &mut Vec<(u32, u32)>,
     deadline: &Deadline,
@@ -510,7 +436,7 @@ fn scan_range(
     const _: () = assert!(WORD_SPECIAL as u16 == INVALID_META);
     let n = text.len();
     // last offset the fixed-size window can serve; the remainder (the final
-    // few offsets of the *text*, not of the range) takes per-offset prescan
+    // few offsets of the text) takes per-offset prescan
     let bulk_end = n.saturating_sub(PRESCAN_WIN - 1);
     // chunk-local scratch, reused across chunks: the slow-path worklist
     // (chunk offset in the low half, reserved pending-target slot in the
@@ -518,12 +444,12 @@ fn scan_range(
     // ever read, so no per-chunk clearing happens.
     let mut wlts = [0u64; POLL];
     let mut tbuf = [0u64; POLL];
-    let mut base = start;
-    while base < end {
+    let mut base = 0;
+    while base < n {
         if base.is_multiple_of(POLL) && deadline.exceeded() {
             return Some(base);
         }
-        let lim = ((base / POLL + 1) * POLL).min(end);
+        let lim = ((base / POLL + 1) * POLL).min(n);
         let nf = lim.min(bulk_end).saturating_sub(base);
         // pass 1: branchless bulk scan + arithmetic appends. The loop body
         // must also be free of *bounds-check* branches: the windows/zip
@@ -537,7 +463,7 @@ fn scan_range(
         if nf > 0 {
             // in-range: nf > 0 implies base + nf <= bulk_end = n - (WIN - 1)
             let ts = &text[base..base + nf + PRESCAN_WIN - 1];
-            let mo = &mut meta_out[base - start..base - start + nf];
+            let mo = &mut meta_out[base..base + nf];
             for (i, (w, m)) in ts.windows(PRESCAN_WIN).zip(mo.iter_mut()).enumerate() {
                 let win: &[u8; PRESCAN_WIN] = w.try_into().unwrap();
                 let (word, rel) = prescan_window(win);
@@ -575,7 +501,7 @@ fn scan_range(
             let off = base + e as u32 as usize;
             if let Ok(scan) = prescan(&text[off..]) {
                 let (m, target) = scan_meta(off, &scan, n);
-                meta_out[off - start] = m;
+                meta_out[off] = m;
                 tbuf[(e >> 32) as usize] = off as u64 | ((target as u64) << 32);
             }
         }
@@ -591,7 +517,7 @@ fn scan_range(
         for off in (base + nf)..lim {
             if let Ok(scan) = prescan(&text[off..]) {
                 let (m, target) = scan_meta(off, &scan, n);
-                meta_out[off - start] = m;
+                meta_out[off] = m;
                 if target != NO_TARGET {
                     targets.push((off as u32, target));
                 }
@@ -722,58 +648,15 @@ mod tests {
     }
 
     #[test]
-    fn sharded_build_is_bit_identical_to_sequential() {
-        // enough bytes to shard (> MIN_SHARD_BYTES), deterministic soup
-        let mut x: u64 = 7;
-        let text: Vec<u8> = (0..3 * crate::par::MIN_SHARD_BYTES)
-            .map(|_| {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (x >> 33) as u8
-            })
-            .collect();
-        let (seq, _) = Superset::build_limited(&text, None, &Deadline::unlimited());
-        for threads in [2usize, 3, 4, 8] {
-            let (par, deg, shards, _) =
-                Superset::build_sharded(&text, None, &Deadline::unlimited(), threads);
-            assert!(deg.is_none());
-            assert!(shards > 1, "threads={threads}");
-            assert_eq!(par, seq, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn sharded_build_small_input_stays_sequential() {
-        let text = vec![0x90; 64];
-        let (ss, deg, shards, merge) =
-            Superset::build_sharded(&text, None, &Deadline::unlimited(), 8);
-        assert!(deg.is_none());
-        assert_eq!(shards, 1);
-        assert_eq!(merge, 0);
-        assert_eq!(ss.valid().count(), 64);
-    }
-
-    #[test]
-    fn sharded_build_cap_falls_back_to_sequential() {
-        let text = vec![0x90; 2 * crate::par::MIN_SHARD_BYTES];
-        let (ss, deg, shards, _) =
-            Superset::build_sharded(&text, Some(4), &Deadline::unlimited(), 8);
-        assert_eq!(shards, 1);
-        assert_eq!(deg.unwrap().limit, LimitKind::SupersetCandidates);
-        assert_eq!(ss.valid().count(), 4);
-    }
-
-    #[test]
-    fn sharded_build_expired_deadline_degrades() {
-        let text = vec![0x90; 2 * crate::par::MIN_SHARD_BYTES];
+    fn expired_deadline_degrades() {
+        let text = vec![0x90; 2 * POLL];
         let deadline = Deadline::start(&crate::limits::Limits::with_deadline_ms(0));
-        let (ss, deg, shards, _) = Superset::build_sharded(&text, None, &deadline, 2);
-        assert!(shards > 1);
+        let (ss, deg) = Superset::build_limited(&text, None, &deadline);
+        assert_eq!(ss.len(), text.len());
         let deg = deg.expect("expired deadline must degrade");
         assert_eq!(deg.phase, "superset");
         assert_eq!(deg.limit, LimitKind::Deadline);
-        // everything past the earliest stop offset is invalid
+        // everything from the stop offset on is invalid
         assert!((deg.completed as u32..ss.len() as u32).all(|off| !ss.at(off).is_valid()));
     }
 

@@ -47,10 +47,11 @@
 //!   `alloc_bytes`/`alloc_peak` counters per phase.
 //! * `metadis.trace.v5` — everything in v4, plus a `threads` field on every
 //!   trace object (worker threads the run was configured with; 0 when not
-//!   recorded) and `shards`/`merge_wall_ns` on every phase entry (how many
-//!   shards the phase decomposed into — 1 for a sequential phase — and the
-//!   wall time spent merging shard results back together, so sharding
-//!   overhead is visible instead of folded into the phase wall time).
+//!   recorded) and `shards`/`merge_wall_ns` on every phase entry. Those two
+//!   once reported how many shards a phase split one binary into and how
+//!   long merging them took. Every phase now runs on one thread, so they
+//!   always read 1 and 0; they stay so v5 and v6 consumers keep parsing.
+//!   `threads` sizes only the file-level pools ([`crate::par`]).
 //! * `metadis.trace.v6` — everything in v5, plus a `timeline_summary`
 //!   object on every trace object, fed by the flight recorder
 //!   ([`obs::timeline`]): `critical_path_ns` (longest dependency chain
@@ -82,10 +83,12 @@ pub struct PhaseStat {
     /// Phase-specific item count: candidates decoded, candidates
     /// eliminated, tables found, decisions applied, ...
     pub items: u64,
-    /// Shards the phase decomposed into (1 for a sequential phase).
+    /// Shards the phase decomposed into. Every pipeline phase runs on one
+    /// thread, so [`PipelineTrace::record`] writes 1; the field stays for
+    /// the v5 schema.
     pub shards: u64,
-    /// Wall time spent merging shard results, nanoseconds (0 for a
-    /// sequential phase). Included in — not additional to — `wall_ns`.
+    /// Wall time spent merging shard results, nanoseconds; 0 for the same
+    /// reason. Included in — not additional to — `wall_ns`.
     pub merge_wall_ns: u64,
 }
 
@@ -147,29 +150,16 @@ impl PipelineTrace {
         PipelineTrace::default()
     }
 
-    /// Append a phase measurement (sequential: one shard, no merge cost).
+    /// Append a phase measurement. Every phase runs on one thread, so it
+    /// records one shard and no merge cost.
     pub fn record(&mut self, name: &'static str, wall_ns: u64, bytes: u64, items: u64) {
-        self.record_sharded(name, wall_ns, bytes, items, 1, 0);
-    }
-
-    /// Append a phase measurement with its shard decomposition: how many
-    /// shards ran and how long merging their results took.
-    pub fn record_sharded(
-        &mut self,
-        name: &'static str,
-        wall_ns: u64,
-        bytes: u64,
-        items: u64,
-        shards: u64,
-        merge_wall_ns: u64,
-    ) {
         self.phases.push(PhaseStat {
             name,
             wall_ns,
             bytes,
             items,
-            shards,
-            merge_wall_ns,
+            shards: 1,
+            merge_wall_ns: 0,
         });
     }
 
@@ -611,12 +601,22 @@ mod tests {
 
     #[test]
     fn sharded_phases_serialize_and_merge() {
+        // pipeline phases always record one shard; a split phase built by
+        // hand pins the v5 field encoding and the merge rule
+        let sharded = |wall_ns, shards, merge_wall_ns| PhaseStat {
+            name: "superset.par",
+            wall_ns,
+            bytes: 8192,
+            items: 8000,
+            shards,
+            merge_wall_ns,
+        };
         let mut a = sample();
         a.threads = 4;
-        a.record_sharded("superset.par", 3_000_000, 8192, 8000, 4, 12_345);
+        a.phases.push(sharded(3_000_000, 4, 12_345));
         let mut b = sample();
         b.threads = 2;
-        b.record_sharded("superset.par", 1_000_000, 8192, 8000, 2, 655);
+        b.phases.push(sharded(1_000_000, 2, 655));
         a.merge(&b);
         let p = a.phase("superset.par").unwrap();
         assert_eq!(p.shards, 4); // widest split, not a sum

@@ -17,7 +17,6 @@
 
 use crate::limits::{Deadline, Degradation, LimitKind};
 use crate::superset::{CandFlow, Superset, NO_TARGET};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Required successors of the candidate at `off` (at most two). Returns
 /// `k == usize::MAX` when the requirement is unsatisfiable (fall-through
@@ -213,185 +212,6 @@ impl Viability {
             degradation,
         )
     }
-
-    /// Parallel viability fixpoint over offset shards, exact to the
-    /// sequential result.
-    ///
-    /// Each worker seeds from its own shard (immediately-dead candidates,
-    /// judged against *initial* validity) and then drains a local worklist,
-    /// claiming kills on the shared table with an atomic swap. The swap
-    /// winner — and only the winner — scans the victim's reverse edges, so
-    /// every eliminated candidate is processed exactly once no matter which
-    /// worker reaches it first; cross-shard chains migrate onto whichever
-    /// worker claimed the boundary kill. The viability closure has a unique
-    /// fixpoint, so the final table is *identical* to the sequential one,
-    /// and because the sequential loop pushes each kill exactly once and
-    /// pops it exactly once, its `iterations` count equals total kills —
-    /// which is what the parallel version reports. Returns
-    /// `(viability, degradation, shards, merge_wall_ns)`.
-    ///
-    /// An iteration cap falls back to the sequential path (the cap
-    /// describes a sequential pop budget; replaying it in parallel would
-    /// change which candidates survive). A wall-clock deadline is polled
-    /// cooperatively every few thousand pops per worker and stops all
-    /// workers; stopping early under-kills, which is conservative.
-    pub fn compute_sharded(
-        ss: &Superset,
-        max_iterations: Option<u64>,
-        deadline: &Deadline,
-        threads: usize,
-    ) -> (Viability, Option<Degradation>, u64, u64) {
-        let n = ss.len();
-        let shards = crate::par::shard_count(n, threads, crate::par::MIN_SHARD_BYTES);
-        if max_iterations.is_some() || shards <= 1 {
-            let (v, deg) = Viability::compute_limited(ss, max_iterations, deadline);
-            return (v, deg, 1, 0);
-        }
-        if deadline.exceeded() {
-            return (
-                Viability::trivial(ss),
-                Some(Degradation {
-                    phase: "viability",
-                    limit: LimitKind::Deadline,
-                    completed: 0,
-                }),
-                shards as u64,
-                0,
-            );
-        }
-        let ranges = crate::par::shard_ranges(n, shards);
-
-        // Required-successor table, precomputed in parallel (pure over the
-        // superset). k is u8 here; UNSAT marks the unsatisfiable sentinel.
-        const UNSAT: u8 = u8::MAX;
-        let req_parts =
-            crate::par::run_jobs("viability.requires.shard", ranges.len(), threads, |i| {
-                let (start, end) = ranges[i];
-                let mut part = Vec::with_capacity(end - start);
-                for off in start..end {
-                    part.push(if ss.at(off as u32).is_valid() {
-                        let (succs, k) = required(ss, off as u32);
-                        (succs, if k == usize::MAX { UNSAT } else { k as u8 })
-                    } else {
-                        ([0u32; 2], 0u8)
-                    });
-                }
-                part
-            });
-        let sw = obs::Stopwatch::start();
-        let mut req: Vec<([u32; 2], u8)> = Vec::with_capacity(n);
-        for part in req_parts {
-            req.extend(part);
-        }
-        let mut merge_wall_ns = sw.elapsed_ns();
-
-        // Reverse adjacency (CSR) — sequential; prefix sums don't shard.
-        let mut deg = vec![0u32; n + 1];
-        for off in 0..n {
-            let (succs, k) = req[off];
-            if k == 0 || k == UNSAT {
-                continue;
-            }
-            for &s in &succs[..k as usize] {
-                deg[s as usize] += 1;
-            }
-        }
-        let mut starts = vec![0u32; n + 1];
-        let mut acc = 0u32;
-        for i in 0..=n {
-            starts[i] = acc;
-            acc += deg.get(i).copied().unwrap_or(0);
-        }
-        let mut rev = vec![0u32; acc as usize];
-        let mut cursor = starts.clone();
-        for off in 0..n {
-            let (succs, k) = req[off];
-            if k == 0 || k == UNSAT {
-                continue;
-            }
-            for &s in &succs[..k as usize] {
-                rev[cursor[s as usize] as usize] = off as u32;
-                cursor[s as usize] += 1;
-            }
-        }
-
-        let viable: Vec<AtomicBool> = (0..n as u32)
-            .map(|i| AtomicBool::new(ss.at(i).is_valid()))
-            .collect();
-        let stop = AtomicBool::new(false);
-        let (viable_r, req_r, starts_r, rev_r, stop_r) = (&viable, &req, &starts, &rev, &stop);
-        let kills_per_worker =
-            crate::par::run_jobs("viability.kills.shard", ranges.len(), threads, |i| {
-                let (start, end) = ranges[i];
-                let mut kills = 0u64;
-                let mut work: Vec<u32> = Vec::new();
-                for off in start..end {
-                    if off.is_multiple_of(4096) && off > start {
-                        if stop_r.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        if deadline.exceeded() {
-                            stop_r.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                    if !ss.at(off as u32).is_valid() {
-                        continue;
-                    }
-                    let (succs, k) = req_r[off];
-                    let dead =
-                        k == UNSAT || succs[..k as usize].iter().any(|&s| !ss.at(s).is_valid());
-                    if dead && viable_r[off].swap(false, Ordering::Relaxed) {
-                        kills += 1;
-                        work.push(off as u32);
-                    }
-                }
-                let mut pops = 0u64;
-                while let Some(d) = work.pop() {
-                    pops += 1;
-                    if pops.is_multiple_of(4096) {
-                        if stop_r.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        if deadline.exceeded() {
-                            stop_r.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                    let d = d as usize;
-                    for &p in &rev_r[starts_r[d] as usize..starts_r[d + 1] as usize] {
-                        if viable_r[p as usize].swap(false, Ordering::Relaxed) {
-                            kills += 1;
-                            work.push(p);
-                        }
-                    }
-                }
-                kills
-            });
-
-        let sw = obs::Stopwatch::start();
-        let iterations: u64 = kills_per_worker.iter().sum();
-        let viable: Vec<bool> = viable.into_iter().map(AtomicBool::into_inner).collect();
-        let eliminated = (0..n)
-            .filter(|&i| ss.at(i as u32).is_valid() && !viable[i])
-            .count();
-        merge_wall_ns += sw.elapsed_ns();
-        let degradation = stop.load(Ordering::Relaxed).then_some(Degradation {
-            phase: "viability",
-            limit: LimitKind::Deadline,
-            completed: iterations,
-        });
-        (
-            Viability {
-                viable,
-                eliminated,
-                iterations,
-            },
-            degradation,
-            shards as u64,
-            merge_wall_ns,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -526,11 +346,11 @@ mod tests {
         assert!(!v.is_viable(0));
     }
 
-    /// Deterministic byte soup big enough to shard, with embedded code-like
-    /// runs so long kill chains cross shard boundaries.
-    fn sharded_corpus() -> Vec<u8> {
+    /// Deterministic byte soup with a long nop sled ending in junk, so the
+    /// fixpoint runs a long kill chain as well as many short ones.
+    fn kill_chain_corpus() -> Vec<u8> {
         let mut x: u64 = 0xfeed;
-        let mut text: Vec<u8> = (0..3 * crate::par::MIN_SHARD_BYTES)
+        let mut text: Vec<u8> = (0..3 * 4096)
             .map(|_| {
                 x = x
                     .wrapping_mul(6364136223846793005)
@@ -538,56 +358,17 @@ mod tests {
                 (x >> 33) as u8
             })
             .collect();
-        // a long nop sled ending in junk right at a shard boundary
-        let b = crate::par::MIN_SHARD_BYTES;
-        text[b - 512..b + 512].fill(0x90);
-        text[b + 512] = 0x06;
+        text[4096 - 512..4096 + 512].fill(0x90);
+        text[4096 + 512] = 0x06;
         text
     }
 
     #[test]
-    fn sharded_fixpoint_is_bit_identical_to_sequential() {
-        let text = sharded_corpus();
-        let ss = Superset::build(&text);
-        let (seq, deg) = Viability::compute_limited(&ss, None, &Deadline::unlimited());
-        assert!(deg.is_none());
-        for threads in [2usize, 3, 4, 8] {
-            let (par, deg, shards, _) =
-                Viability::compute_sharded(&ss, None, &Deadline::unlimited(), threads);
-            assert!(deg.is_none());
-            assert!(shards > 1, "threads={threads}");
-            assert_eq!(par.as_slice(), seq.as_slice(), "threads={threads}");
-            assert_eq!(par.eliminated(), seq.eliminated());
-            assert_eq!(par.iterations(), seq.iterations(), "threads={threads}");
-        }
-    }
-
-    #[test]
     fn sequential_iterations_equal_total_kills() {
-        // the invariant the parallel count relies on: in an unbudgeted run
-        // every eliminated candidate is pushed once and popped once
-        let ss = Superset::build(&sharded_corpus());
+        // in an unbudgeted run every eliminated candidate is pushed once
+        // and popped once, so the trace's iteration count is the kill count
+        let ss = Superset::build(&kill_chain_corpus());
         let (v, _) = Viability::compute_limited(&ss, None, &Deadline::unlimited());
         assert_eq!(v.iterations(), v.eliminated() as u64);
-    }
-
-    #[test]
-    fn sharded_iteration_cap_falls_back_to_sequential() {
-        let ss = Superset::build(&sharded_corpus());
-        let (v, deg, shards, _) =
-            Viability::compute_sharded(&ss, Some(3), &Deadline::unlimited(), 4);
-        assert_eq!(shards, 1);
-        assert_eq!(deg.unwrap().limit, LimitKind::ViabilityIterations);
-        let (seq, _) = Viability::compute_limited(&ss, Some(3), &Deadline::unlimited());
-        assert_eq!(v.as_slice(), seq.as_slice());
-    }
-
-    #[test]
-    fn sharded_expired_deadline_returns_trivial() {
-        let ss = Superset::build(&sharded_corpus());
-        let d = Deadline::start(&crate::limits::Limits::with_deadline_ms(0));
-        let (v, deg, _, _) = Viability::compute_sharded(&ss, None, &d, 4);
-        assert_eq!(deg.unwrap().limit, LimitKind::Deadline);
-        assert_eq!(v.eliminated(), 0);
     }
 }

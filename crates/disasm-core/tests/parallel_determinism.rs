@@ -1,6 +1,6 @@
-//! Determinism property: the multi-threaded pipeline is a pure wall-time
-//! optimization. For seeded generated corpora — including adversarial
-//! binaries and raw byte soup large enough to force real sharding — a run at
+//! Determinism property: `Config::threads` sizes only the file-level worker
+//! pools, so it never changes one binary's result. For seeded generated
+//! corpora — including adversarial binaries and raw byte soup — a run at
 //! `threads = N` must produce *bit-identical* results to `threads = 1`:
 //! the same byte classification, instruction starts, function starts,
 //! correction counts, viability iteration count, and degradation list.
@@ -35,6 +35,15 @@ fn assert_identical(seq: &Disassembly, par: &Disassembly, what: &str) {
         seq.trace.degradations, par.trace.degradations,
         "{what}: degradations"
     );
+    // one binary runs on one thread whatever the pool width
+    for p in &par.trace.phases {
+        assert_eq!(
+            (p.shards, p.merge_wall_ns),
+            (1, 0),
+            "{what}: phase {} was split",
+            p.name
+        );
+    }
 }
 
 /// Generated workloads across seeds and generator shapes, plus the
@@ -63,8 +72,8 @@ fn corpus() -> Vec<(String, Image)> {
         "adversarial-7".to_string(),
         Image::new(w.text_base(), w.text.clone()).with_entry(w.entry_off),
     ));
-    // raw byte soup, several shards wide: no structure for the pipeline to
-    // anchor on, maximal load on the superset/viability shard merge paths
+    // raw byte soup: no structure for the pipeline to anchor on, maximal
+    // load on superset decode and the viability fixpoint
     let mut soup = vec![0u8; 3 * 4096 + 123];
     let mut state = 0x2545F491_4F6CDD1Du64;
     for b in soup.iter_mut() {
@@ -88,9 +97,8 @@ fn threaded_runs_are_bit_identical_to_sequential() {
 
 #[test]
 fn threaded_runs_match_under_iteration_budgets() {
-    // Iteration caps force the sharded phases onto their sequential
-    // fallbacks; the contract must hold there too, including the recorded
-    // budget degradations.
+    // The contract must hold under iteration caps too, including the
+    // recorded budget degradations.
     for (name, image) in corpus().into_iter().take(3) {
         let limits = Limits {
             max_viability_iterations: Some(64),

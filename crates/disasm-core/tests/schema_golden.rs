@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use disasm_core::trace::{merged_report_json, PipelineTrace};
+use disasm_core::trace::{merged_report_json, PhaseStat, PipelineTrace};
 use disasm_core::{Degradation, LimitKind};
 
 const V6_GOLDEN: &str = concat!(
@@ -38,11 +38,20 @@ const V2_GOLDEN: &str = concat!(
 );
 
 /// A fully deterministic trace: fixed timings, one degradation, a two-span
-/// tree with counters, fixed allocation totals, a sharded phase, a fixed
-/// timeline summary. No clocks are read anywhere in this test.
+/// tree with counters, fixed allocation totals, a phase with a 4-way shard
+/// split (built literally: the pipeline always records one shard, but the
+/// v5 fields must keep their encoding), a fixed timeline summary. No clocks
+/// are read anywhere in this test.
 fn sample_trace() -> PipelineTrace {
     let mut t = PipelineTrace::new();
-    t.record_sharded("superset", 2_000_000, 4096, 4000, 4, 250_000);
+    t.phases.push(PhaseStat {
+        name: "superset",
+        wall_ns: 2_000_000,
+        bytes: 4096,
+        items: 4000,
+        shards: 4,
+        merge_wall_ns: 250_000,
+    });
     t.record("viability", 1_000_000, 4096, 1200);
     t.record("default", 50_000, 4096, 96);
     t.total_wall_ns = 4_000_000;

@@ -3,9 +3,8 @@
 //! The fixture is a *committed* byte blob (`tests/data/superset_fixture.bin`
 //! — a bingen workload frozen at generation time, so later generator changes
 //! cannot move it) and a committed per-offset candidate dump. Any storage
-//! rewrite of `Superset` — packing changes, prescan changes, shard-merge
-//! changes — must keep producing byte-for-byte these candidates, and
-//! `build_sharded` must keep matching `build` at every thread count.
+//! rewrite of `Superset` — packing changes, prescan changes — must keep
+//! producing byte-for-byte these candidates.
 //!
 //! Regenerate the golden after an *intentional* semantic change with:
 //!
@@ -14,7 +13,6 @@
 //! ```
 
 use disasm_core::superset::{CandFlow, Candidate, Superset, NO_TARGET};
-use disasm_core::{Deadline, Degradation};
 
 const FIXTURE: &[u8] = include_bytes!("data/superset_fixture.bin");
 const GOLDEN_PATH: &str = concat!(
@@ -85,18 +83,6 @@ fn build_matches_committed_golden() {
         rendered, golden,
         "superset candidates diverged from the committed golden"
     );
-}
-
-#[test]
-fn sharded_build_matches_build_at_all_thread_counts() {
-    let seq = Superset::build(FIXTURE);
-    for threads in [1usize, 2, 4, 8] {
-        let (par, deg, _, _) =
-            Superset::build_sharded(FIXTURE, None, &Deadline::unlimited(), threads);
-        let deg: Option<Degradation> = deg;
-        assert!(deg.is_none(), "threads={threads}");
-        assert_eq!(par, seq, "threads={threads}: sharded table diverged");
-    }
 }
 
 #[test]

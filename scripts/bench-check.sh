@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Perf-trajectory gate: run the throughput bench (QUICK corpus), check the
 # end-to-end threads=1 pipeline throughput and jump-table share, the
-# threads=1 vs threads=4 parallel speedup, and diff the bench's
+# file-level batch speedup at 2 workers, and diff the bench's
 # metadis.trace.v6 record against the committed baseline in
 # tests/data/bench/ with `metadis trace-diff`.
 #
@@ -48,16 +48,19 @@ QUICK=1 BENCH_JSON_DIR="$TMP" cargo bench -q --offline -p bench --bench throughp
 
 echo "== bench-check: superset-build throughput floor"
 # The bench prints "superset-build bytes/sec = N" — single-thread
-# Superset::build over the QUICK corpus. The length-class window fast path
+# Superset::build over the QUICK corpus, best of three arms spread over the
+# whole bench run (before the tool arms, between the scaling arms, after
+# the telemetry arms): a single best-of-2 arm once read 32.7 MB/s in a slow
+# host phase against 50-52 MB/s otherwise. The length-class window fast path
 # (x86-isa prescan_window + the fused WATTR dispatch table) took the
 # builder from ~19 MB/s to ~50-58 MB/s on the 2.1 GHz reference host
 # (~110 → ~38 cycles per offset; the remaining gap to the 5x aspiration of
 # ~95 MB/s is core frequency, not instruction count — the loop is already
 # branchless at ~4 IPC). The enforced floor is 2x the pre-fast-path
 # baseline of 18,978,831 B/s: comfortably under the slowest phase a busy
-# shared vCPU has shown with the fast path, and unreachable if the fast
-# path regresses to per-offset full decode. Override with
-# BENCH_SUPERSET_FLOOR for stricter local runs.
+# shared vCPU has shown with the fast path, and unreachable by every arm if
+# the fast path regresses to per-offset full decode (~19 MB/s). Override
+# with BENCH_SUPERSET_FLOOR for stricter local runs.
 FLOOR="${BENCH_SUPERSET_FLOOR:-37957662}"
 SUPERSET_BPS="$(sed -n 's/^superset-build bytes\/sec = \([0-9]*\)$/\1/p' "$TMP/bench-stdout.txt")"
 if [[ -z "$SUPERSET_BPS" ]]; then
@@ -111,25 +114,31 @@ echo "== bench-check: prescan/decode agreement gate"
 # random soup (release mode: the differential sweep covers ~700k offsets).
 cargo test --release -q --offline -p disasm-core --test prescan_differential
 
-echo "== bench-check: parallel scaling gate"
-# The bench prints "parallel speedup(4) = X.XXx" — the threads=1 vs
-# threads=4 wall-time ratio of the identical (bit-for-bit) pipeline run.
-# On a ≥4-core machine, anything under 1.5x means the sharding stopped
-# paying for itself: exit 5, mirroring the trace-diff regression code. On
-# smaller machines the ratio measures timeslicing, not scaling — skip.
+echo "== bench-check: file-level batch scaling gate"
+# The bench prints "batch speedup(2) = X.XXx" — best-of-5 wall of a fixed
+# batch of 48 small generated binaries through par::run_jobs at 1 worker
+# over the same at 2 workers, arms interleaved. Parallelism is file-level:
+# one binary runs on one thread, and independent binaries share nothing, so
+# two workers paid 1.36-2.17x on the 2-core reference host. Under 1.30x
+# means the pool stopped paying for itself: exit 5. That host also has
+# phases in which its two vCPUs deliver about one core of compute (a plain
+# integer loop read 1.10x on 2 threads) and this gate then reads ~1.0x;
+# check the host before blaming a change. Skipped on one core, where the
+# ratio measures timeslicing, not scaling.
+BATCH_MIN_SPEEDUP=1.30
 CORES="$(nproc 2>/dev/null || echo 1)"
-SPEEDUP="$(sed -n 's/^parallel speedup(4) = \([0-9.]*\)x$/\1/p' "$TMP/bench-stdout.txt")"
-if [[ -z "$SPEEDUP" ]]; then
-    echo "bench-check: bench output carried no speedup(4) line" >&2
+BATCH_SPEEDUP="$(sed -n 's/^batch speedup(2) = \([0-9.]*\)x$/\1/p' "$TMP/bench-stdout.txt")"
+if [[ -z "$BATCH_SPEEDUP" ]]; then
+    echo "bench-check: bench output carried no batch speedup(2) line" >&2
     exit 3
 fi
-if [[ "$CORES" -lt 4 ]]; then
-    echo "bench-check: $CORES core(s) < 4 — scaling gate skipped (speedup(4) = ${SPEEDUP}x)"
-elif ! awk -v s="$SPEEDUP" 'BEGIN { exit !(s >= 1.5) }'; then
-    echo "bench-check: speedup(4) = ${SPEEDUP}x < 1.5x on $CORES cores" >&2
+if [[ "$CORES" -lt 2 ]]; then
+    echo "bench-check: $CORES core — batch scaling gate skipped (speedup(2) = ${BATCH_SPEEDUP}x)"
+elif ! awk -v s="$BATCH_SPEEDUP" -v m="$BATCH_MIN_SPEEDUP" 'BEGIN { exit !(s >= m) }'; then
+    echo "bench-check: batch speedup(2) = ${BATCH_SPEEDUP}x < ${BATCH_MIN_SPEEDUP}x on $CORES cores" >&2
     exit 5
 else
-    echo "bench-check: speedup(4) = ${SPEEDUP}x on $CORES cores"
+    echo "bench-check: batch speedup(2) = ${BATCH_SPEEDUP}x (min ${BATCH_MIN_SPEEDUP}x) on $CORES cores"
 fi
 
 echo "== bench-check: trace-diff vs $BASELINE"

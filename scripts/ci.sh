@@ -37,15 +37,18 @@ echo "== jump-table anchor prefilter differential gate (release)"
 cargo test --release -q --offline -p disasm-core --lib jumptable::tests::prefilter
 
 echo "== parallel determinism gate (threads=1 vs N, release)"
-# The multi-threaded pipeline must be a pure wall-time optimization: for
-# seeded bingen corpora (incl. adversarial + raw soup), byte_class,
-# inst_starts, corrections and degradation lists are compared bit-for-bit
-# between threads=1 and threads∈{2,4,8}.
+# --threads sizes only the file-level worker pools; one binary always runs
+# on one thread, so its output must not depend on it: for seeded bingen
+# corpora (incl. adversarial + raw soup), byte_class, inst_starts,
+# corrections and degradation lists are compared bit-for-bit between
+# threads=1 and threads∈{2,4,8}.
 cargo test --release -q --offline -p disasm-core --test parallel_determinism
 
 echo "== tier-1 tests under METADIS_THREADS=4"
 # Re-run the workspace tests with the default thread count forced to 4, so
-# every test that doesn't pin Config::threads exercises the sharded paths.
+# every test that doesn't pin Config::threads runs its batch and serve
+# surfaces (process_batch, the serve dispatcher, evaluate_threads) on a
+# 4-wide worker pool.
 METADIS_THREADS=4 cargo test --workspace -q --offline
 
 echo "== serve soak suite (hostile clients, release)"
@@ -169,9 +172,10 @@ cp "$TD_TMP/soak.elf" "$SOAK_WATCH/done.elf"
 wait "$SOAK_PID"
 
 echo "== flight-recorder profile artifacts"
-# Profile the same seed corpus at 4 threads with the flight recorder on and
-# upload both views of the run: the Chrome trace-event JSON (loadable in
-# Perfetto / chrome://tracing) and the critical-path + imbalance report.
+# Profile the same seed corpus with the flight recorder on and upload both
+# views of the run: the Chrome trace-event JSON (loadable in Perfetto /
+# chrome://tracing) and the critical-path report. One binary runs on one
+# thread, so --threads 4 must give the same single-lane trace as 1.
 cargo run --release --offline --bin metadis -- \
   profile "$TD_TMP/ci.elf" --threads 4 \
   --chrome-trace artifacts/ci-profile-trace.json \

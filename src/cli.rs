@@ -25,9 +25,10 @@
 //!   metric history, and retained `metadis.request.v1` bundles into an
 //!   on-disk support bundle for incident review.
 //!
-//! Every analysis command also accepts `--threads N` (worker threads for
-//! the sharded pipeline phases and batch processing; the output is
-//! bit-identical at any thread count) and the observability flags:
+//! Every analysis command also accepts `--threads N` (the width of the
+//! file-level worker pools `serve` runs whole binaries on; one binary
+//! always runs on one thread, so the output never depends on it) and the
+//! observability flags:
 //! `--metrics` appends per-phase timing tables, the event-span tree, and
 //! the global counter/histogram snapshot to the output, `--trace-json
 //! <path>` writes a machine-readable trace record (schema
@@ -142,7 +143,6 @@ metadis — metadata-free disassembly of stripped x86-64 binaries
 USAGE:
     metadis disasm <elf> [--listing] [--max-lines N] [--train N]
     metadis profile <elf> [--chrome-trace PATH] [--profile-summary]
-                [--threads N]
     metadis gen -o <path> [--seed N] [--profile O0|O1|O2|O3]
                 [--functions N] [--density F] [--adversarial]
     metadis compare <elf> [--train N]
@@ -174,13 +174,12 @@ OPTIONS:
     --density F     embedded-data fraction 0.0-0.5 (default 0.1)
     --adversarial   lace the generated binary with anti-disassembly junk
 
-PARALLELISM (any analysis command; serve uses it for batch requests):
-    --threads N        worker threads for the sharded pipeline phases
-                       (superset decode, viability fixpoint, statistical
-                       classification) and for batch processing; results
-                       are bit-identical at any thread count (default: the
-                       METADIS_THREADS env var if set, else the machine's
-                       available parallelism; 1 = fully sequential)
+PARALLELISM (any analysis command; only serve has several binaries to run):
+    --threads N        width of the file-level worker pools: serve analyzes
+                       up to N binaries at once (batch intake and /analyze).
+                       One binary always runs on one thread, so results
+                       never depend on N (default: the METADIS_THREADS env
+                       var if set, else the machine's available parallelism)
 
 OBSERVABILITY (any analysis command):
     --metrics          append per-phase timing tables, the event-span tree
@@ -197,10 +196,9 @@ OBSERVABILITY (any analysis command):
                        because it costs memory proportional to decisions)
 
 PROFILE (runs the pipeline with the flight recorder on):
-    --chrome-trace PATH  write the per-thread timeline as Chrome
-                         trace-event JSON (load in Perfetto or
-                         chrome://tracing: one lane per worker thread
-                         showing shard spans and merge barriers)
+    --chrome-trace PATH  write the run's timeline as Chrome trace-event
+                         JSON (load in Perfetto or chrome://tracing: the
+                         pipeline phases as nested spans on the main lane)
     --profile-summary    print the full critical-path / worker-utilization
                          / shard-duration report instead of the one-line
                          headline
@@ -693,9 +691,8 @@ fn cmd_profile(rest: &[&String]) -> Result<CmdOutput, CliError> {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{path}: profiled {} text bytes with {} thread(s) — {} timeline events",
+        "{path}: profiled {} text bytes — {} timeline events",
         image.text.len(),
-        d.trace.threads.max(1),
         events.len()
     );
     if let Some(trace_path) = flag_value(rest, "--chrome-trace") {
@@ -711,14 +708,12 @@ fn cmd_profile(rest: &[&String]) -> Result<CmdOutput, CliError> {
         out.push('\n');
         out.push_str(&obs::chrome::render_summary(&events));
     } else {
-        let s = &d.trace.timeline;
+        // one binary runs on one thread, so the worker and shard figures
+        // of the full report have nothing to say here
         let _ = writeln!(
             out,
-            "critical path {:.3} ms, worker utilization {}%, shard skew {}% \
-             (use --profile-summary for the full report)",
-            s.critical_path_ns as f64 / 1e6,
-            s.worker_utilization,
-            s.shard_skew
+            "critical path {:.3} ms (use --profile-summary for the full report)",
+            d.trace.timeline.critical_path_ns as f64 / 1e6
         );
     }
     Ok(CmdOutput {

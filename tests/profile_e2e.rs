@@ -1,8 +1,8 @@
 //! End-to-end flight-recorder tests: the `metadis profile` command driven
 //! through the CLI on a seeded workload, its Chrome trace-event export
 //! parsed back and checked for structural validity (balanced begin/end
-//! pairs per lane at 1/2/4 worker threads) and for deterministic event
-//! counts across identical runs. The companion cost assertion — the
+//! pairs per lane), for the single-lane shape of a one-binary run at any
+//! `--threads`, and for deterministic event counts across identical runs. The companion cost assertion — the
 //! recorder must stay under 5% wall overhead — lives in the throughput
 //! bench (`profiler-on` arm), which exits nonzero when the budget is blown.
 
@@ -16,9 +16,7 @@ use std::sync::Mutex;
 /// not race each other.
 static CLI_LOCK: Mutex<()> = Mutex::new(());
 
-/// A corpus big enough that the sharded phases actually fan out: shards
-/// only split at `par::MIN_SHARD_BYTES` (4 KiB) granularity, so 64
-/// functions (~20 KiB of text) gives every thread count its own lanes.
+/// A seeded O2 workload of 64 functions (~20 KiB of text).
 fn write_elf(path: &std::path::Path, seed: u64) {
     let workload = Workload::generate(&GenConfig::new(seed, OptProfile::O2, 64, 0.10));
     std::fs::write(path, workload.to_elf().to_bytes()).unwrap();
@@ -66,6 +64,7 @@ fn chrome_trace_is_valid_and_balanced_at_each_thread_count() {
     write_elf(&elf, 21);
 
     let _cli = CLI_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let mut shapes = Vec::new();
     for threads in [1usize, 2, 4] {
         let out_path = dir.join(format!("trace-t{threads}.json"));
         let text = run_profile(elf.to_str().unwrap(), threads, out_path.to_str().unwrap());
@@ -98,27 +97,15 @@ fn chrome_trace_is_valid_and_balanced_at_each_thread_count() {
             assert_eq!(*d, 0, "unbalanced B/E on lane {tid} at threads={threads}");
         }
 
-        // lane metadata: always a main lane; worker lanes appear once the
-        // pool fans out
+        // one binary runs on one thread: `--threads` sizes only the
+        // file-level pools, so the only lane is `main`
         let lanes: Vec<&str> = events
             .iter()
             .filter(|e| e.get("ph").unwrap().as_str() == Some("M"))
             .map(|e| e.path("args.name").unwrap().as_str().unwrap())
             .collect();
-        assert!(lanes.contains(&"main"), "{lanes:?}");
-        if threads >= 2 {
-            assert!(
-                lanes.iter().any(|l| l.starts_with("worker-")),
-                "no worker lane at threads={threads}: {lanes:?}"
-            );
-            // the merge barrier shows up as an explicit span
-            assert!(
-                events
-                    .iter()
-                    .any(|e| e.get("name").unwrap().as_str() == Some("par.merge_wait")),
-                "no merge-wait span at threads={threads}"
-            );
-        }
+        assert_eq!(lanes, ["main"], "threads={threads}");
+        shapes.push(event_shape(&trace));
         assert_eq!(
             trace
                 .path("otherData.dropped_events")
@@ -128,6 +115,8 @@ fn chrome_trace_is_valid_and_balanced_at_each_thread_count() {
             0
         );
     }
+    assert_eq!(shapes[1], shapes[0], "event shape at threads=2 vs 1");
+    assert_eq!(shapes[2], shapes[0], "event shape at threads=4 vs 1");
 }
 
 #[test]

@@ -202,9 +202,10 @@ fn deadline_degradations_still_fire_with_worker_threads() {
     let elf = dir.join("deadline.elf");
     write_elf(&elf, 13);
 
-    // an already-expired deadline on a multi-threaded config: the shards
-    // poll the deadline cooperatively, so the run degrades (instead of
-    // hanging or panicking) and still classifies every byte
+    // an already-expired deadline on a multi-threaded config: the pool
+    // width does not reach into the run, whose phases poll the deadline,
+    // so it degrades (instead of hanging or panicking) and still
+    // classifies every byte
     let cfg = Config {
         threads: 4,
         limits: Limits {
